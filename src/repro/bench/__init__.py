@@ -372,7 +372,6 @@ def bench_grid(tier: BenchTier) -> dict:
     cache.  The warm/cold ratio is the resume speedup a rerun of an
     interrupted (or repeated) grid enjoys.
     """
-    from repro.experiments.parallel import run_grid_parallel
     from repro.experiments.runstore import RunStore
 
     scenarios = [scenario_by_name(name) for name in tier.grid_scenarios]
@@ -386,9 +385,9 @@ def bench_grid(tier: BenchTier) -> dict:
 
     parallel_cache = RunCache()
     t0 = time.perf_counter()
-    run_grid_parallel(
+    run_grid(
         tier.grid_policies, tier.grid_model, config, "A", scenarios,
-        n_workers=tier.grid_workers, cache=parallel_cache,
+        parallel_cache, n_workers=tier.grid_workers,
     )
     parallel_wall = max(time.perf_counter() - t0, 1e-12)
 
@@ -440,12 +439,11 @@ def bench_farm(tier: BenchTier) -> dict:
         scenarios=tuple(tier.grid_scenarios[:1]),
     )
     units = plan.unique_units()
-    items = [item for item, _ in units]
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-farm-") as tmp:
         direct_store = RunStore(Path(tmp) / "direct")
         t0 = time.perf_counter()
-        execute_plan(items, direct_store, execution=plan.execution_policy())
+        execute_plan(units, direct_store, execution=plan.execution_policy())
         direct_wall = max(time.perf_counter() - t0, 1e-12)
 
         farm = Farm(Path(tmp) / "farm")

@@ -535,8 +535,8 @@ def cmd_market(args) -> int:
         print(result.table())
         execution = result.execution
         print(f"\nplan: {execution.accesses} accesses, {execution.hits} hits, "
-              f"{execution.executed} executed, {execution.deferred} deferred "
-              f"({execution.wall_s:.2f}s)")
+              f"{execution.executed} executed, {execution.deferred} deferred, "
+              f"{len(execution.failed)} failed ({execution.wall_s:.2f}s)")
         if args.cache_dir:
             print(f"run store: {store.cache_dir} "
                   f"({len(store.document_digests())} market runs on disk)")

@@ -27,7 +27,6 @@ from repro.experiments.runner import (
     GridAnalysis,
     build_workload,
     run_grid,
-    run_scenario,
     run_single,
 )
 from repro.experiments.scenarios import (
@@ -44,7 +43,6 @@ __all__ = [
     "scenario_by_name",
     "build_workload",
     "run_single",
-    "run_scenario",
     "run_grid",
     "GridAnalysis",
     "MarketConfig",

@@ -11,7 +11,10 @@ labels the row, so the output reads as an availability-vs-risk table: raw
 objectives per level plus the separate and integrated risk reduction
 (Eqs. 5–6) over the sweep.
 
-Runs flow through :func:`repro.experiments.runner.run_single`, so they are
+Each sweep is one scenario × policies plan of
+:class:`~repro.experiments.runstore.RunKey` units run through
+:func:`~repro.experiments.pipeline.execute_plan` and reduced by
+:func:`~repro.experiments.pipeline.reduce_scenario`, so its runs are
 content-addressed in the run store like any other run — a faulty run's
 identity includes the full ``FaultConfig``.
 """
@@ -24,8 +27,10 @@ from typing import Optional, Sequence
 from repro.core.integrated import IntegratedRisk, integrated_risk
 from repro.core.objectives import OBJECTIVES, Objective, ObjectiveSet
 from repro.core.separate import SeparateRisk
-from repro.experiments.runner import RunCache, run_scenario, run_single
-from repro.experiments.runstore import RunStore
+from repro.experiments.errors import GridExecutionError
+from repro.experiments.pipeline import execute_plan, reduce_scenario
+from repro.experiments.runner import RunCache
+from repro.experiments.runstore import RunKey, RunStore
 from repro.experiments.scenarios import ExperimentConfig, Scenario
 
 #: default per-node MTBF levels (seconds): 6 h … 8 days.  The span brackets
@@ -56,6 +61,56 @@ CASCADE_PROB_LEVELS: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5, 1.0)
 def cascade_scenario(values: Sequence[float] = CASCADE_PROB_LEVELS) -> Scenario:
     """The cascade-probability sweep as a :class:`Scenario`."""
     return Scenario("cascade", "fault_cascade_prob", tuple(float(v) for v in values))
+
+
+def _sweep(
+    scenario: Scenario,
+    fault_base: ExperimentConfig,
+    policies: Sequence[str],
+    model_name: str,
+    cache: Optional[RunStore],
+    wait_method: str,
+):
+    """Run one fault scenario for every policy and reduce it to risk.
+
+    Returns ``(cells, separate, integrated)``: ``(config, policy,
+    objectives)`` per run in policy-major order, the separate risk per
+    objective per policy, and its equal-weight integration per policy.
+    """
+    cache = cache if cache is not None else RunCache()
+    configs = scenario.configs(fault_base)
+    plan = [RunKey(config, policy, model_name) for policy in policies for config in configs]
+    execution = execute_plan(plan, cache)
+    if execution.failed:
+        journal = cache.failures()
+        raise GridExecutionError([journal[digest] for digest in execution.failed])
+    runs = [[cache.get(config, policy, model_name) for config in configs] for policy in policies]
+    separate = reduce_scenario(runs, policies, wait_method)
+    integrated = {
+        policy: integrated_risk({o: separate[o][policy] for o in OBJECTIVES})
+        for policy in policies
+    }
+    cells = [
+        (config, policy, objectives)
+        for policy, policy_runs in zip(policies, runs)
+        for config, objectives in zip(configs, policy_runs)
+    ]
+    return cells, separate, integrated
+
+
+def _integrated_lines(
+    policies: Sequence[str], integrated: dict[str, IntegratedRisk]
+) -> list[str]:
+    """The sweep tables' footer: each policy's integrated risk."""
+    lines = [
+        "",
+        f"{'policy':<14} {'performance':>12} {'volatility':>11}   "
+        "(integrated risk over the sweep, equal weights)",
+    ]
+    for policy in policies:
+        risk = integrated[policy]
+        lines.append(f"{policy:<14} {risk.performance:>12.4f} {risk.volatility:>11.4f}")
+    return lines
 
 
 @dataclass(frozen=True)
@@ -99,17 +154,7 @@ class FaultSweepResult:
                 f"{row.policy:<14} {o.wait:>8.3f} {o.sla:>8.3f} "
                 f"{o.reliability:>8.3f} {o.profitability:>10.1f}"
             )
-        lines.append("")
-        lines.append(
-            f"{'policy':<14} {'performance':>12} {'volatility':>11}   "
-            "(integrated risk over the sweep, equal weights)"
-        )
-        for policy in self.policies:
-            risk = self.integrated[policy]
-            lines.append(
-                f"{policy:<14} {risk.performance:>12.4f} {risk.volatility:>11.4f}"
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + _integrated_lines(self.policies, self.integrated))
 
 
 def run_fault_sweep(
@@ -129,35 +174,19 @@ def run_fault_sweep(
     history at each level (both derive from ``base.seed``), preserving the
     paper's controlled-comparison discipline under faults.
     """
-    cache = cache if cache is not None else RunCache()
     fault_base = base.with_values(
         fault_enabled=True,
         fault_model=fault_model,
         fault_mttr=float(mttr),
         fault_recovery=recovery,
     )
-    scenario = mtbf_scenario(mtbfs)
-    rows: list[FaultSweepRow] = []
-    for policy in policies:
-        for config in scenario.configs(fault_base):
-            objectives = run_single(config, policy, model_name, cache)
-            rows.append(
-                FaultSweepRow(
-                    mtbf=config.faults.mtbf,
-                    availability=config.faults.availability,
-                    policy=policy,
-                    objectives=objectives,
-                )
-            )
-    separate = run_scenario(
-        scenario, policies, model_name, fault_base, cache, wait_method
+    cells, separate, integrated = _sweep(
+        mtbf_scenario(mtbfs), fault_base, policies, model_name, cache, wait_method
     )
-    integrated = {
-        policy: integrated_risk(
-            {o: separate[o][policy] for o in OBJECTIVES}
-        )
-        for policy in policies
-    }
+    rows = [
+        FaultSweepRow(config.faults.mtbf, config.faults.availability, policy, objectives)
+        for config, policy, objectives in cells
+    ]
     return FaultSweepResult(
         model=model_name,
         recovery=recovery,
@@ -215,17 +244,7 @@ class CorrelatedSweepResult:
                 f"{o.wait:>8.3f} {o.sla:>8.3f} "
                 f"{o.reliability:>8.3f} {o.profitability:>10.1f}"
             )
-        lines.append("")
-        lines.append(
-            f"{'policy':<14} {'performance':>12} {'volatility':>11}   "
-            "(integrated risk over the sweep, equal weights)"
-        )
-        for policy in self.policies:
-            risk = self.integrated[policy]
-            lines.append(
-                f"{policy:<14} {risk.performance:>12.4f} {risk.volatility:>11.4f}"
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + _integrated_lines(self.policies, self.integrated))
 
 
 def run_correlated_sweep(
@@ -252,7 +271,6 @@ def run_correlated_sweep(
     policy's risk profile.  Every policy sees the identical workload and
     failure history at each level (both derive from ``base.seed``).
     """
-    cache = cache if cache is not None else RunCache()
     fault_base = base.with_values(
         fault_enabled=True,
         fault_mtbf=float(mtbf),
@@ -263,27 +281,14 @@ def run_correlated_sweep(
         fault_domain_mttr=float(domain_mttr),
         fault_cascade_delay=float(cascade_delay),
     )
-    scenario = cascade_scenario(cascade_probs)
-    rows: list[CorrelatedSweepRow] = []
-    for policy in policies:
-        for config in scenario.configs(fault_base):
-            objectives = run_single(config, policy, model_name, cache)
-            rows.append(
-                CorrelatedSweepRow(
-                    cascade_prob=config.faults.cascade_prob,
-                    policy=policy,
-                    objectives=objectives,
-                )
-            )
-    separate = run_scenario(
-        scenario, policies, model_name, fault_base, cache, wait_method
+    cells, separate, integrated = _sweep(
+        cascade_scenario(cascade_probs), fault_base, policies, model_name, cache,
+        wait_method,
     )
-    integrated = {
-        policy: integrated_risk(
-            {o: separate[o][policy] for o in OBJECTIVES}
-        )
-        for policy in policies
-    }
+    rows = [
+        CorrelatedSweepRow(config.faults.cascade_prob, policy, objectives)
+        for config, policy, objectives in cells
+    ]
     return CorrelatedSweepResult(
         model=model_name,
         recovery=recovery,

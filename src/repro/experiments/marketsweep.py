@@ -13,8 +13,11 @@ Market runs flow through the same plan→execute→assemble pipeline and
 :class:`~repro.experiments.runstore.RunStore` as the grid experiments:
 every run is a pure function of its :class:`MarketConfig` (workload,
 QoS, user choices, and provider failures all derive from ``config.seed``),
-so :func:`market_run_key` content-addresses it and sweeps dedupe,
-checkpoint, resume, and shard exactly like grids.  The stored document
+so :func:`market_run_key` content-addresses it.  A :class:`MarketConfig`
+is a :class:`~repro.experiments.pipeline.WorkUnit`, so
+:func:`~repro.experiments.pipeline.execute_plan` dedupes, shards,
+supervises (retries, failure journal, process pool), checkpoints and
+resumes market sweeps exactly like grids.  The stored document
 format is ``repro-market-run`` — distinct from ``repro-run`` so the two
 layers can share a cache directory without ever confusing documents.
 
@@ -27,16 +30,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
-from repro.experiments.pipeline import PlanExecution
+from repro.experiments.pipeline import PlanExecution, execute_plan
 from repro.experiments.runstore import SCHEMA_VERSION, RunStore, StoreError
 from repro.market.marketplace import Marketplace
 from repro.market.provider import SyntheticSpec
 from repro.market.stream import DEFAULT_ARRIVAL_FACTOR, market_job_stream
-from repro.perf.registry import PERF
 
 #: Format marker / document version of one stored market run.
 MARKET_RUN_FORMAT = "repro-market-run"
@@ -88,6 +89,26 @@ class MarketConfig:
             raise ValueError("n_users must be positive")
         if self.n_jobs <= 0:
             raise ValueError("n_jobs must be positive")
+
+    # -- the work-unit protocol of repro.experiments.pipeline.execute_plan --
+    @property
+    def digest(self) -> str:
+        return market_run_key(self)
+
+    @property
+    def labels(self) -> tuple[str, str]:
+        """The risky provider and the document format, for failure records."""
+        return self.providers[0].name, MARKET_RUN_FORMAT
+
+    def cached(self, store: RunStore) -> bool:
+        return store.get_document(self.digest, MARKET_RUN_FORMAT) is not None
+
+    def execute(self, **budgets) -> dict:
+        """Market runs have no simulation watchdog: ``budgets`` are unused."""
+        return run_market_config(self)
+
+    def save(self, store: RunStore, doc: dict) -> None:
+        store.put_document(self.digest, doc)
 
     def with_risky(self, **changes) -> "MarketConfig":
         """A copy with fields of the risky provider (``providers[0]``)
@@ -272,69 +293,6 @@ def market_plan(
     return scenario.configs(base)
 
 
-def execute_market_plan(
-    plan: Sequence[MarketConfig],
-    store: RunStore,
-    shard: Optional[tuple[int, int]] = None,
-) -> PlanExecution:
-    """Dedupe, (optionally) shard, simulate, checkpoint — grid semantics.
-
-    Accounting mirrors :func:`repro.experiments.pipeline.execute_plan`:
-    every plan entry is one logical access, the first access of a digest
-    the store cannot serve is a miss, and each finished run is written to
-    the store the moment it completes, so an interrupted sweep loses at
-    most the in-flight run.  ``shard=(i, n)`` keeps the misses whose
-    digest falls in the ``i``-th of ``n`` buckets — the same pure
-    content-hash assignment grids use, so shards sharing a cache
-    directory partition the sweep with no coordination.
-    """
-    if shard is not None:
-        index, count = shard
-        if count < 1 or not 0 <= index < count:
-            raise ValueError(f"shard must satisfy 0 <= i < n, got {index}/{count}")
-    t0 = time.perf_counter()
-
-    pending: list[tuple[MarketConfig, str]] = []
-    seen: set[str] = set()
-    hits = 0
-    for config in plan:
-        digest = market_run_key(config)
-        if digest in seen or store.get_document(digest, MARKET_RUN_FORMAT) is not None:
-            hits += 1
-        else:
-            seen.add(digest)
-            pending.append((config, digest))
-    misses = len(pending)
-    store.hits += hits
-    store.misses += misses
-
-    if shard is not None:
-        index, count = shard
-        mine = [
-            (config, digest)
-            for config, digest in pending
-            if int(digest[:8], 16) % count == index
-        ]
-    else:
-        mine = pending
-
-    for config, digest in mine:
-        store.put_document(digest, run_market_config(config))
-
-    wall = time.perf_counter() - t0
-    if PERF.enabled:
-        PERF.add_time("marketsweep.execute_s", wall)
-        PERF.incr("marketsweep.plans_executed")
-    return PlanExecution(
-        accesses=len(plan),
-        hits=hits,
-        misses=misses,
-        executed=len(mine),
-        deferred=misses - len(mine),
-        wall_s=wall,
-    )
-
-
 @dataclass(frozen=True)
 class MarketSweepRow:
     """One provider's outcome at one level of the sweep."""
@@ -383,7 +341,7 @@ class MarketSweepResult:
             )
         if not self.complete:
             lines.append("")
-            lines.append("(incomplete: some levels deferred to other shards)")
+            lines.append("(incomplete: some levels failed or are on other shards)")
         return "\n".join(lines)
 
 
@@ -407,8 +365,9 @@ def assemble_market_sweep(
 
     Pure read: runs nothing, so any shard (or a later process) can
     assemble from a shared cache directory.  Levels whose document is
-    missing (deferred to a peer shard that has not finished) are simply
-    absent from ``rows`` and flagged via ``MarketSweepResult.complete``.
+    missing (failed, or deferred to a peer shard that has not finished)
+    are simply absent from ``rows`` and flagged via
+    ``MarketSweepResult.complete``.
     """
     rows: list[MarketSweepRow] = []
     for level, config in zip(scenario.levels, scenario.configs(base)):
@@ -446,6 +405,5 @@ def run_market_sweep(
     base = base if base is not None else default_market_config()
     scenario = scenario if scenario is not None else mtbf_market_scenario()
     store = store if store is not None else RunStore()
-    plan = market_plan(scenario, base)
-    execution = execute_market_plan(plan, store, shard=shard)
+    execution = execute_plan(market_plan(scenario, base), store, shard=shard)
     return assemble_market_sweep(store, scenario, base, execution=execution)

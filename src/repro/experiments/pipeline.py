@@ -1,25 +1,29 @@
 """The unified experiment pipeline: plan → execute → assemble.
 
-Every grid-shaped entry point (``run_grid``, ``run_grid_parallel``,
-``run_replicated``, ``tornado_analysis``, ``generate_report``) drives the
-same three stages:
+Every sweep — ``run_grid`` (serial or over a process pool),
+``run_replicated``, ``tornado_analysis``, ``generate_report``, the fault
+sweeps, the market sweeps and the farm's workers — drives the same three
+stages:
 
-1. :func:`grid_plan` (or any list of work items) enumerates the *logical
-   accesses* of an experiment in a deterministic order — duplicates
-   included, because hit/miss accounting is defined per access.
-2. :func:`execute_plan` dedupes the plan grid-wide against a
-   :class:`~repro.experiments.runstore.RunStore`, optionally keeps only
-   one shard of the misses (``shard=(i, n)`` for multi-machine fan-out),
-   simulates the remainder serially or over a process pool (in *batches*
-   — one future per chunk of runs, forked workers inheriting the warmed
-   trace memo — so dispatch overhead is amortised), and checkpoints
-   completed runs to the store as each run (serial) or batch (pool)
-   finishes — an interrupted grid therefore resumes by construction.
-3. :func:`assemble_grid` re-reads the store and reduces to a
-   :class:`~repro.experiments.runner.GridAnalysis` exactly as the serial
-   runner always has (per-scenario normalisation, Eqs. 5–6), so serial,
-   parallel, sharded, and resumed executions of the same plan are
-   bit-identical.
+1. A *plan* (e.g. :func:`grid_plan`) lists the *logical accesses* of an
+   experiment as :class:`WorkUnit` s in a deterministic order —
+   duplicates included, because hit/miss accounting is defined per
+   access.
+2. :func:`execute_plan`, the one executor, dedupes the plan by unit
+   digest against a :class:`~repro.experiments.runstore.RunStore`,
+   optionally keeps only one shard of the misses (``shard=(i, n)`` for
+   multi-machine fan-out), executes the remainder serially or over a
+   process pool (in *batches* — one future per chunk of units, forked
+   workers inheriting the warmed trace memo — so dispatch overhead is
+   amortised), and checkpoints each result to the store as its unit
+   (serial) or batch (pool) finishes — an interrupted sweep therefore
+   resumes by construction.
+3. An assembler (:func:`assemble_grid`, the fault sweeps' reduction, or
+   :func:`~repro.experiments.marketsweep.assemble_market_sweep`) re-reads
+   the store; grids and fault sweeps reduce each scenario with
+   :func:`reduce_scenario` (per-scenario normalisation, Eqs. 5–6), so
+   serial, parallel, sharded, and resumed executions of the same plan
+   are bit-identical.
 
 Execution is *supervised* (see :class:`ExecutionPolicy`): every run gets
 a wall-clock budget and a simulation watchdog, failures are classified
@@ -31,8 +35,8 @@ instead of aborting the grid.  :func:`assemble_grid` can then either
 refuse the incomplete store (the default) or degrade gracefully,
 marking the missing cells as explicit gaps.
 
-Simulations are pure functions of their :class:`RunKey`, which is what
-makes all of this sound: the store can replay any subset in any order.
+Every unit's result is a pure function of the unit, which is what makes
+all of this sound: the store can replay any subset in any order.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Protocol, Sequence
 
 from repro.core.normalize import normalize_runs
 from repro.core.objectives import Objective, ObjectiveSet
@@ -67,8 +71,30 @@ from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, Scenario
 from repro.perf.registry import PERF
 
-#: One unit of work: simulate ``policy`` on ``config`` under ``model``.
-WorkItem = tuple[ExperimentConfig, str, str]
+
+class WorkUnit(Protocol):
+    """One pure, content-addressed piece of sweep work.
+
+    ``digest`` names the unit's result in the store and in the failure
+    journal, and ``labels`` are the two names a
+    :class:`~repro.experiments.errors.FailureRecord` carries.
+    ``cached(store)`` says whether the store already holds the result,
+    ``execute(max_sim_events=..., max_sim_time=...)`` computes it (a unit
+    with a simulation watchdog arms it with these budgets), and
+    ``save(store, result)`` checkpoints it.
+    :class:`~repro.experiments.runstore.RunKey` (one grid cell) and
+    :class:`~repro.experiments.marketsweep.MarketConfig` (one market run)
+    are the two units.
+    """
+
+    digest: str
+    labels: tuple[str, str]
+
+    def cached(self, store: RunStore) -> bool: ...
+
+    def execute(self, **budgets) -> Any: ...
+
+    def save(self, store: RunStore, result: Any) -> None: ...
 
 #: perf counter per failure kind.
 _KIND_COUNTERS = {
@@ -84,7 +110,7 @@ def grid_plan(
     base: ExperimentConfig,
     set_name: str = "A",
     scenarios: Sequence[Scenario] = SCENARIOS,
-) -> list[WorkItem]:
+) -> list[RunKey]:
     """The logical accesses of one Table VI grid, in deterministic order.
 
     The default configuration appears in every scenario, so the plan
@@ -93,7 +119,7 @@ def grid_plan(
     """
     base = base.for_set(set_name)
     return [
-        (config, policy, model_name)
+        RunKey(config, policy, model_name)
         for scenario in scenarios
         for config in scenario.configs(base)
         for policy in policies
@@ -120,7 +146,7 @@ class ExecutionPolicy:
     #: doubles it, capped at ``backoff_cap``, jittered to 50–150 %.
     backoff_base: float = 0.5
     backoff_cap: float = 30.0
-    #: simulation watchdog budgets handed to every ``run_single``.
+    #: simulation watchdog budgets handed to every unit's ``execute``.
     max_sim_events: Optional[int] = None
     max_sim_time: Optional[float] = None
     #: what a caller should do with journaled failures: ``"abort"`` raises
@@ -196,15 +222,6 @@ class PlanExecution:
         return self.deferred == 0 and not self.failed
 
 
-def _parse_shard(shard: Optional[tuple[int, int]]) -> Optional[tuple[int, int]]:
-    if shard is None:
-        return None
-    index, count = shard
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(f"shard must satisfy 0 <= i < n, got {index}/{count}")
-    return index, count
-
-
 @contextmanager
 def _wall_clock_limit(seconds: Optional[float]):
     """Raise :class:`RunTimeout` when the body runs longer than ``seconds``.
@@ -237,36 +254,30 @@ def _wall_clock_limit(seconds: Optional[float]):
 
 
 def _worker(
-    item: WorkItem,
+    unit: WorkUnit,
     run_timeout: Optional[float] = None,
     max_sim_events: Optional[int] = None,
     max_sim_time: Optional[float] = None,
-) -> tuple[WorkItem, Optional[ObjectiveSet], Optional[dict], Optional[dict]]:
-    """Simulate one work item in a worker process.
+) -> tuple[Any, Optional[dict], Optional[dict]]:
+    """Execute one work unit in a worker process.
 
-    Returns ``(item, objectives, perf_delta, error)``: exactly one of
-    ``objectives`` / ``error`` is set.  Failures come back as *data*
+    Returns ``(result, perf_delta, error)``: exactly one of ``result`` /
+    ``error`` is set.  Failures come back as *data*
     (:meth:`RunError.to_dict`) rather than raised exceptions, so the
     parent never depends on cross-process exception pickling; a raised
     :class:`BrokenProcessPool` therefore always means the process died.
-    ``perf_delta`` is the per-item delta of the worker's perf counters
+    ``perf_delta`` is the per-unit delta of the worker's perf counters
     (when the registry is enabled there) so the parent can fold
     worker-side activity back into its own registry.
     """
-    from repro.experiments.runner import run_single
-
-    chaos.maybe_crash(RunKey(*item).digest)
+    chaos.maybe_crash(unit.digest)
     before = dict(PERF.counters) if PERF.enabled else None
     error: Optional[dict] = None
-    objectives: Optional[ObjectiveSet] = None
+    result = None
     try:
         with _wall_clock_limit(run_timeout):
-            objectives = run_single(
-                item[0],
-                item[1],
-                item[2],
-                max_sim_events=max_sim_events,
-                max_sim_time=max_sim_time,
+            result = unit.execute(
+                max_sim_events=max_sim_events, max_sim_time=max_sim_time
             )
     except KeyboardInterrupt:
         raise
@@ -279,40 +290,40 @@ def _worker(
             for name, value in PERF.counters.items()
             if value != before.get(name, 0)
         }
-    return item, objectives, delta, error
+    return result, delta, error
 
 
 def _worker_batch(
-    items: Sequence[WorkItem],
+    units: Sequence[WorkUnit],
     run_timeout: Optional[float] = None,
     max_sim_events: Optional[int] = None,
     max_sim_time: Optional[float] = None,
-) -> list[tuple[WorkItem, Optional[ObjectiveSet], Optional[dict], Optional[dict]]]:
-    """Simulate a batch of work items in one worker process.
+) -> list[tuple[Any, Optional[dict], Optional[dict]]]:
+    """Execute a batch of work units in one worker process.
 
-    One future per batch instead of one per run: the per-item
+    One future per batch instead of one per unit: the per-unit
     :func:`_worker` semantics (wall-clock alarm, error-as-data, perf
     delta, chaos hook) are unchanged, but the pickling/IPC round trip is
     paid once per batch.  A worker that dies mid-batch loses the whole
     batch's results — the supervisor splits the batch into singletons to
-    isolate the culprit, so an item is never charged an attempt for a
+    isolate the culprit, so a unit is never charged an attempt for a
     batchmate's crash.
 
     The batch-level chaos hook (:func:`chaos.maybe_crash_batch`) fires
-    before any item runs, so an armed "correlated outage" kills the
+    before any unit runs, so an armed "correlated outage" kills the
     worker while it holds the *whole* batch — the exact failure shape a
     fault domain produces — and the split-and-rerun path is exercised.
     """
-    if len(items) > 1:
-        chaos.maybe_crash_batch([RunKey(*item).digest for item in items])
-    return [_worker(item, run_timeout, max_sim_events, max_sim_time) for item in items]
+    if len(units) > 1:
+        chaos.maybe_crash_batch([unit.digest for unit in units])
+    return [_worker(unit, run_timeout, max_sim_events, max_sim_time) for unit in units]
 
 
 def _chunk_batches(
-    mine: Sequence[tuple[WorkItem, str]],
+    mine: Sequence[WorkUnit],
     n_workers: int,
     policy: ExecutionPolicy,
-) -> list[list[tuple[WorkItem, str]]]:
+) -> list[list[WorkUnit]]:
     """Split the miss list into dispatch batches, preserving order.
 
     Auto-sizing targets four batches per worker: large enough to amortise
@@ -351,8 +362,9 @@ class _Supervisor:
         self.failed: list[str] = []
         self.retries = 0
 
-    def note_failure(self, item: WorkItem, digest: str, error: RunError) -> bool:
-        """Record one failed attempt; True when the item should be retried."""
+    def note_failure(self, unit: WorkUnit, error: RunError) -> bool:
+        """Record one failed attempt; True when the unit should be retried."""
+        digest = unit.digest
         attempts = self.attempts.get(digest, 0) + 1
         self.attempts[digest] = attempts
         if PERF.enabled:
@@ -363,40 +375,34 @@ class _Supervisor:
                 PERF.incr("pipeline.retries")
             return True
         self.store.record_failure(
-            FailureRecord.from_error(digest, item[1], item[2], error, attempts)
+            FailureRecord.from_error(digest, *unit.labels, error, attempts)
         )
         self.failed.append(digest)
         return False
 
 
 def _execute_serial(
-    mine: Sequence[tuple[WorkItem, str]], store: RunStore, policy: ExecutionPolicy
+    mine: Sequence[WorkUnit], store: RunStore, policy: ExecutionPolicy
 ) -> _Supervisor:
-    from repro.experiments.runner import run_single
-
     supervisor = _Supervisor(store, policy)
-    for item, digest in mine:
+    for unit in mine:
         while True:
             try:
                 with _wall_clock_limit(policy.run_timeout):
-                    objectives = run_single(
-                        item[0],
-                        item[1],
-                        item[2],
+                    result = unit.execute(
                         max_sim_events=policy.max_sim_events,
                         max_sim_time=policy.max_sim_time,
                     )
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
-                error = classify_failure(exc)
-                if supervisor.note_failure(item, digest, error):
+                if supervisor.note_failure(unit, classify_failure(exc)):
                     policy.sleep(
-                        policy.backoff_delay(digest, supervisor.attempts[digest])
+                        policy.backoff_delay(unit.digest, supervisor.attempts[unit.digest])
                     )
                     continue
                 break
-            store.put(item[0], item[1], item[2], objectives)
+            unit.save(store, result)
             break
     return supervisor
 
@@ -419,7 +425,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _execute_pool(
-    mine: Sequence[tuple[WorkItem, str]],
+    mine: Sequence[WorkUnit],
     store: RunStore,
     n_workers: int,
     policy: ExecutionPolicy,
@@ -431,7 +437,7 @@ def _execute_pool(
     run in a completed batch is checkpointed when the batch lands.
     Invariants: at most ``n_workers`` batches are in flight; a broken
     pool is rebuilt and only the in-flight batches are resubmitted; a
-    multi-run batch that crashes or straggles is split into singletons
+    multi-unit batch that crashes or straggles is split into singletons
     *without charging attempts* (only the culprit singleton is charged on
     its own rerun — batchmates are innocent); retries re-enter as
     singletons after waiting out their backoff in a delay queue.
@@ -441,22 +447,20 @@ def _execute_pool(
     supervisor = _Supervisor(store, policy)
     # Fork-once: synthesise the base traces in the parent *before* the
     # pool exists, so forked workers inherit the warm memo.
-    warm_trace_memo([item for item, _ in mine])
-    queue: deque[list[tuple[WorkItem, str]]] = deque(
-        _chunk_batches(mine, n_workers, policy)
-    )
-    #: backoff heap: (ready_time, seq, item, digest) — retries are singletons.
-    delayed: list[tuple[float, int, WorkItem, str]] = []
+    warm_trace_memo(mine)
+    queue: deque[list[WorkUnit]] = deque(_chunk_batches(mine, n_workers, policy))
+    #: backoff heap: (ready_time, seq, unit) — retries are singletons.
+    delayed: list[tuple[float, int, WorkUnit]] = []
     seq = 0
     inflight: dict = {}  # future -> (batch, deadline)
     pool = _new_pool(n_workers)
 
-    def submit(batch: list[tuple[WorkItem, str]]) -> bool:
+    def submit(batch: list[WorkUnit]) -> bool:
         nonlocal pool
         try:
             future = pool.submit(
                 _worker_batch,
-                [item for item, _ in batch],
+                batch,
                 policy.run_timeout,
                 policy.max_sim_events,
                 policy.max_sim_time,
@@ -488,66 +492,54 @@ def _execute_pool(
         if PERF.enabled:
             PERF.incr("pipeline.pool_rebuilds")
 
-    def split(batch: list[tuple[WorkItem, str]]) -> None:
-        """Resubmit a failed multi-run batch as singletons, uncharged."""
-        for entry in reversed(batch):
-            queue.appendleft([entry])
+    def note(unit: WorkUnit, error: RunError) -> None:
+        nonlocal seq
+        if supervisor.note_failure(unit, error):
+            ready = policy.clock() + policy.backoff_delay(
+                unit.digest, supervisor.attempts[unit.digest]
+            )
+            heapq.heappush(delayed, (ready, seq, unit))
+            seq += 1
+
+    def fail(batch: list[WorkUnit], error: RunError) -> None:
+        """Charge a lone unit with ``error``.  A multi-unit batch cannot
+        tell which unit was the culprit: resubmit it as singletons,
+        uncharged, and let the culprit's own singleton take the charge
+        on its rerun."""
+        if len(batch) == 1:
+            note(batch[0], error)
+            return
+        for unit in reversed(batch):
+            queue.appendleft([unit])
         if PERF.enabled:
             PERF.incr("pipeline.batch_splits")
 
-    def note(item: WorkItem, digest: str, error: RunError) -> None:
-        nonlocal seq
-        if supervisor.note_failure(item, digest, error):
-            ready = policy.clock() + policy.backoff_delay(
-                digest, supervisor.attempts[digest]
-            )
-            heapq.heappush(delayed, (ready, seq, item, digest))
-            seq += 1
-
-    def handle_outcome(batch: list[tuple[WorkItem, str]], future) -> None:
+    def handle_outcome(batch: list[WorkUnit], future) -> None:
         try:
             results = future.result()
         except BrokenProcessPool:
-            # The worker running (or queued for) this future died.  A
-            # multi-run batch cannot tell which run was the culprit:
-            # split it and let the culprit's own singleton take the
-            # charge on its rerun.
-            if len(batch) > 1:
-                split(batch)
-                return
-            item, digest = batch[0]
-            note(
-                item,
-                digest,
-                RunCrashed(
-                    "worker process died (BrokenProcessPool) — "
-                    "SIGKILL, OOM-kill, or segfault"
-                ),
-            )
+            # The worker running (or queued for) this future died.
+            fail(batch, RunCrashed(
+                "worker process died (BrokenProcessPool) — "
+                "SIGKILL, OOM-kill, or segfault"
+            ))
             return
         except Exception as exc:  # unpicklable result, executor internals
-            if len(batch) > 1:
-                split(batch)
-                return
-            item, digest = batch[0]
-            note(item, digest, classify_failure(exc))
+            fail(batch, classify_failure(exc))
             return
-        for (item, digest), (_, objectives, perf_delta, error_doc) in zip(
-            batch, results
-        ):
+        for unit, (result, perf_delta, error_doc) in zip(batch, results):
             if perf_delta and PERF.enabled:
                 PERF.merge_counters(perf_delta)
             if error_doc is None:
-                store.put(item[0], item[1], item[2], objectives)
+                unit.save(store, result)
             else:
-                note(item, digest, error_from_dict(error_doc))
+                note(unit, error_from_dict(error_doc))
 
     try:
         while queue or delayed or inflight:
             now = policy.clock()
             while delayed and delayed[0][0] <= now:
-                _, _, item, digest = heapq.heappop(delayed)
-                queue.append([(item, digest)])
+                queue.append([heapq.heappop(delayed)[2]])
             while queue and len(inflight) < n_workers:
                 if not submit(queue.popleft()):
                     break
@@ -586,19 +578,11 @@ def _execute_pool(
             if expired:
                 for future in expired:
                     batch, _ = inflight.pop(future)
-                    if len(batch) > 1:
-                        split(batch)
-                        continue
-                    item, digest = batch[0]
-                    note(
-                        item,
-                        digest,
-                        RunTimeout(
-                            "run exceeded the supervisor's straggler deadline "
-                            f"({policy.straggler_deadline():g}s)",
-                            budget=f"run_timeout={policy.run_timeout:g}",
-                        ),
-                    )
+                    fail(batch, RunTimeout(
+                        "run exceeded the supervisor's straggler deadline "
+                        f"({policy.straggler_deadline():g}s)",
+                        budget=f"run_timeout={policy.run_timeout:g}",
+                    ))
                 rebuild()
     except KeyboardInterrupt:
         # Leave no zombies and keep the store consistent: everything
@@ -616,7 +600,7 @@ def _execute_pool(
 
 
 def execute_plan(
-    plan: Sequence[WorkItem],
+    plan: Sequence[WorkUnit],
     store: RunStore,
     n_workers: int = 1,
     shard: Optional[tuple[int, int]] = None,
@@ -624,40 +608,42 @@ def execute_plan(
 ) -> PlanExecution:
     """Dedupe, (optionally) shard, simulate under supervision, checkpoint.
 
-    Accounting matches the serial runner's per-access semantics: every
-    plan entry is one logical access; the first access of a key the store
-    cannot serve is a miss, every other access is a hit.  Misses are
-    simulated in first-access order (serially) or fanned over a process
-    pool, and each finished run is written to the store the moment it
-    completes, so an interrupted call loses at most the in-flight runs.
+    The one executor of every sweep: ``plan`` is any sequence of
+    :class:`WorkUnit` s (grid cells, market runs, or a mix).  Accounting
+    is per access: every plan entry is one logical access; the first
+    access of a digest the store cannot serve is a miss, every other
+    access is a hit.  Misses are executed in first-access order
+    (serially) or fanned over a process pool, and each result is saved
+    to the store the moment it completes, so an interrupted call loses
+    at most the in-flight units.
 
-    ``shard=(i, n)`` keeps only the misses whose key digest falls in the
-    ``i``-th of ``n`` buckets, for splitting one grid across machines that
+    ``shard=(i, n)`` keeps only the misses whose digest falls in the
+    ``i``-th of ``n`` buckets, for splitting one sweep across machines that
     share a cache directory.  Assignment is a pure function of the
     content hash, so it is stable no matter how much of the grid other
     shards have already checkpointed; the returned :class:`PlanExecution`
     reports the deferred remainder.
 
-    ``execution`` supervises the simulations (timeouts, retries with
-    backoff, crash recovery — see :class:`ExecutionPolicy`).  Runs that
-    exhaust their retries are journaled in the store and reported in
+    ``execution`` supervises the units (timeouts, retries with backoff,
+    crash recovery — see :class:`ExecutionPolicy`).  Units that exhaust
+    their retries are journaled in the store and reported in
     ``PlanExecution.failed``; the plan itself always runs to the end, so
     one poisoned cell cannot abort a long sweep.
     """
-    shard = _parse_shard(shard)
+    if shard is not None and not 0 <= shard[0] < shard[1]:
+        raise ValueError(f"shard must satisfy 0 <= i < n, got {shard[0]}/{shard[1]}")
     t0 = time.perf_counter()
 
-    pending: list[tuple[WorkItem, str]] = []
+    pending: list[WorkUnit] = []
     seen: set[str] = set()
     hits = 0
-    for item in plan:
-        config, policy, model = item
-        digest = RunKey(config, policy, model).digest
-        if digest in seen or store.get(config, policy, model) is not None:
+    for unit in plan:
+        digest = unit.digest
+        if digest in seen or unit.cached(store):
             hits += 1
         else:
             seen.add(digest)
-            pending.append((item, digest))
+            pending.append(unit)
     misses = len(pending)
     store.hits += hits
     store.misses += misses
@@ -665,14 +651,9 @@ def execute_plan(
         PERF.incr("runner.cache_hits", hits)
         PERF.incr("runner.cache_misses", misses)
 
-    if shard is not None:
-        index, count = shard
-        mine = [
-            (item, digest) for item, digest in pending
-            if int(digest[:8], 16) % count == index
-        ]
-    else:
-        mine = pending
+    mine = pending if shard is None else [
+        unit for unit in pending if int(unit.digest[:8], 16) % shard[1] == shard[0]
+    ]
     deferred = misses - len(mine)
 
     if mine and n_workers > 1:
@@ -754,20 +735,10 @@ def assemble_grid(
             gaps.extend(
                 _scenario_gaps(scenario, configs, policies, model_name, runs, journal)
             )
-            normalized = normalize_runs(runs, wait_method=wait_method, allow_gaps=True)
-            for objective in Objective:
-                grid = normalized[objective]
-                for p, policy in enumerate(policies):
-                    values = [v for v in grid[p] if math.isfinite(v)]
-                    separate[objective][policy][scenario.name] = (
-                        separate_risk(values) if values else SeparateRisk.gap()
-                    )
-            continue
-        normalized = normalize_runs(runs, wait_method=wait_method)
+        reduced = reduce_scenario(runs, policies, wait_method)
         for objective in Objective:
-            grid = normalized[objective]
-            for p, policy in enumerate(policies):
-                separate[objective][policy][scenario.name] = separate_risk(grid[p])
+            for policy in policies:
+                separate[objective][policy][scenario.name] = reduced[objective][policy]
     if missing and on_missing == "raise":
         raise StoreError(
             f"grid incomplete: {missing} run(s) absent from the store — "
@@ -782,6 +753,36 @@ def assemble_grid(
         separate=separate,
         gaps=tuple(gaps),
     )
+
+
+def reduce_scenario(
+    runs: Sequence[Sequence[Optional[ObjectiveSet]]],
+    policies: Sequence[str],
+    wait_method: str = "grid-max",
+) -> dict[Objective, dict[str, SeparateRisk]]:
+    """Separate risk of every objective × policy over one scenario.
+
+    ``runs[p][v]`` is policy ``p``'s raw result at the scenario's ``v``-th
+    value.  The raw objective grid is normalised (§4.1) and each policy's
+    normalised values are reduced to (performance, volatility) via
+    Eqs. 5–6.  Missing runs (``None``) contribute nothing: a policy with
+    no surviving values gets a :meth:`SeparateRisk.gap` marker.
+    """
+    gaps = any(run is None for policy_runs in runs for run in policy_runs)
+    normalized = normalize_runs(runs, wait_method=wait_method, allow_gaps=gaps)
+    out: dict[Objective, dict[str, SeparateRisk]] = {}
+    for objective in Objective:
+        grid = normalized[objective]
+        out[objective] = {}
+        for p, policy in enumerate(policies):
+            if not gaps:
+                out[objective][policy] = separate_risk(grid[p])
+                continue
+            values = [v for v in grid[p] if math.isfinite(v)]
+            out[objective][policy] = (
+                separate_risk(values) if values else SeparateRisk.gap()
+            )
+    return out
 
 
 def _scenario_gaps(

@@ -20,12 +20,11 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.core.integrated import IntegratedRisk, integrated_risk
-from repro.core.normalize import normalize_runs
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.riskplot import RiskPlot
-from repro.core.separate import SeparateRisk, separate_risk
+from repro.core.separate import SeparateRisk
 from repro.economy.models import make_model
-from repro.experiments.runstore import RunStore
+from repro.experiments.runstore import RunKey, RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, Scenario
 from repro.perf.registry import PERF
 from repro.policies import make_policy
@@ -61,19 +60,23 @@ def _base_trace(seed: int, n_jobs: int, max_procs: int) -> tuple[Job, ...]:
     return jobs
 
 
-def warm_trace_memo(items) -> int:
-    """Pre-synthesise the base traces a set of work items will need.
+def warm_trace_memo(units) -> int:
+    """Pre-synthesise the base traces a set of work units will need.
 
     Called by the pool executor *before* it forks workers: the traces
     land in ``_TRACE_MEMO`` in the parent, so every forked worker
     inherits them by copy-on-write instead of each synthesising its own.
-    ``items`` is any iterable of ``(config, policy, model)`` work items;
+    Only the :class:`~repro.experiments.runstore.RunKey` units of
+    ``units`` need traces (other units, e.g. market runs, are skipped);
     at most ``_TRACE_MEMO_MAX`` distinct traces are warmed (warming more
     would just evict earlier entries).  Returns the number warmed.
     """
     keys: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
-    for config, _policy, _model in items:
+    for unit in units:
+        if not isinstance(unit, RunKey):
+            continue
+        config = unit.config
         key = (
             config.seed,
             config.n_jobs,
@@ -179,35 +182,6 @@ def run_single(
     return objectives
 
 
-def run_scenario(
-    scenario: Scenario,
-    policies: Sequence[str],
-    model_name: str,
-    base: ExperimentConfig,
-    cache: Optional[RunStore] = None,
-    wait_method: str = "grid-max",
-) -> dict[Objective, dict[str, SeparateRisk]]:
-    """Separate risk analysis of every objective for one scenario.
-
-    Runs each policy over the scenario's six values, normalises the raw
-    objective grids (§4.1), and reduces each policy's six normalised results
-    to (performance, volatility) via Eqs. 5–6.
-    """
-    configs = scenario.configs(base)
-    runs = [
-        [run_single(cfg, policy, model_name, cache) for cfg in configs]
-        for policy in policies
-    ]
-    normalized = normalize_runs(runs, wait_method=wait_method)
-    out: dict[Objective, dict[str, SeparateRisk]] = {}
-    for objective in Objective:
-        grid = normalized[objective]
-        out[objective] = {
-            policy: separate_risk(grid[p]) for p, policy in enumerate(policies)
-        }
-    return out
-
-
 @dataclass
 class GridAnalysis:
     """Separate risk analyses of all objectives × policies × scenarios.
@@ -298,25 +272,31 @@ def run_grid(
     scenarios: Sequence[Scenario] = SCENARIOS,
     cache: Optional[RunStore] = None,
     wait_method: str = "grid-max",
+    n_workers: int = 1,
 ) -> GridAnalysis:
     """Run the full Table VI grid for one economic model and estimate set.
 
-    Serial form of the unified pipeline: plan → execute (in-process,
-    checkpointing each run to ``cache`` as it completes) → assemble.  With
-    a disk-backed :class:`~repro.experiments.runstore.RunStore` as the
-    cache, an interrupted grid resumes from where it stopped.
+    The unified pipeline end to end: plan → execute (in-process, or over
+    a pool of ``n_workers`` processes; each run is checkpointed to
+    ``cache`` as it completes) → assemble.  Results are bit-identical for
+    every ``n_workers``.  An existing ``cache`` (memory or disk) is
+    consulted first, so repeated calls only simulate what is missing;
+    with a disk-backed :class:`~repro.experiments.runstore.RunStore` an
+    interrupted grid resumes from where it stopped.
     """
     from repro.experiments.pipeline import assemble_grid, execute_plan, grid_plan
 
     cache = cache if cache is not None else RunCache()
     t0 = time.perf_counter()
     execute_plan(
-        grid_plan(policies, model_name, base, set_name, scenarios), cache, n_workers=1
+        grid_plan(policies, model_name, base, set_name, scenarios),
+        cache,
+        n_workers=n_workers,
     )
     grid = assemble_grid(
         cache, policies, model_name, base, set_name, scenarios, wait_method
     )
     if PERF.enabled:
-        PERF.add_time("runner.grid_serial_s", time.perf_counter() - t0)
+        PERF.add_time("runner.grid_s", time.perf_counter() - t0)
         PERF.incr("runner.grids")
     return grid

@@ -183,6 +183,23 @@ class RunKey:
             "objectives": objectives_to_dict(objectives),
         }
 
+    # -- the work-unit protocol of repro.experiments.pipeline.execute_plan --
+    @property
+    def labels(self) -> tuple[str, str]:
+        """The (policy, model) names a failure record carries."""
+        return self.policy, self.model
+
+    def cached(self, store: RunStore) -> bool:
+        return store.get(self.config, self.policy, self.model) is not None
+
+    def execute(self, **budgets) -> ObjectiveSet:
+        from repro.experiments.runner import run_single
+
+        return run_single(self.config, self.policy, self.model, **budgets)
+
+    def save(self, store: RunStore, objectives: ObjectiveSet) -> None:
+        store.put(self.config, self.policy, self.model, objectives)
+
 
 def load_run_document(doc: dict) -> ObjectiveSet:
     """Validate one run document and extract its objectives.
@@ -469,6 +486,7 @@ class RunStore:
         stored = dict(doc)
         stored["key"] = digest
         self._docs[digest] = stored
+        self._failures.pop(digest, None)
         path = self.document_path(digest)
         if path is None:
             return
@@ -509,10 +527,10 @@ class RunStore:
     def failures(self) -> dict[str, FailureRecord]:
         """Unresolved failures: latest journal record per digest.
 
-        A digest whose run document exists (in memory or on disk) is
-        resolved — a retry or another shard eventually succeeded — and is
-        excluded, so the journal being append-only never makes a healthy
-        grid look degraded.  Malformed journal lines are skipped.
+        A digest whose run (or generic) document exists, in memory or on
+        disk, is resolved — a retry or another shard eventually succeeded
+        — and is excluded, so the journal being append-only never makes a
+        healthy grid look degraded.  Malformed journal lines are skipped.
         """
         records = dict(self._failures)
         if self.cache_dir is not None:
@@ -526,7 +544,10 @@ class RunStore:
                 except ValueError:
                     continue
                 records[record.digest] = record
-        resolved = self._memory.keys() | self.disk_digests()
+        resolved = (
+            self._memory.keys() | self.disk_digests()
+            | self._docs.keys() | self.document_digests()
+        )
         return {d: r for d, r in records.items() if d not in resolved}
 
     def failure_for(self, digest: str) -> Optional[FailureRecord]:

@@ -10,8 +10,8 @@ same submission is idempotent (resubmitting resumes) and incompatible
 code revisions never collide on a job id.
 
 Exploding a plan is just :func:`repro.experiments.pipeline.grid_plan`;
-one **work unit** per unique :class:`~repro.experiments.runstore.RunKey`
-digest is what the farm leases out (see :mod:`repro.farm.coordinator`).
+each unique :class:`~repro.experiments.runstore.RunKey` — the grid's
+work unit — is what the farm leases out (see :mod:`repro.farm.coordinator`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
-from repro.experiments.pipeline import ExecutionPolicy, WorkItem, grid_plan
+from repro.experiments.pipeline import ExecutionPolicy, grid_plan
 from repro.experiments.runstore import (
     SCHEMA_VERSION,
     RunKey,
@@ -84,23 +84,15 @@ class FarmPlan:
         kwargs.update(overrides)
         return ExecutionPolicy(**kwargs)
 
-    def work_items(self) -> list[WorkItem]:
-        """The plan's logical accesses, exactly as a local grid would run."""
-        return grid_plan(
+    def unique_units(self) -> list[RunKey]:
+        """The plan's grid units, deduped in first-access order."""
+        units: dict[str, RunKey] = {}
+        for unit in grid_plan(
             self.policies, self.model, self.config, self.set_name,
             self.scenario_objects(),
-        )
-
-    def unique_units(self) -> list[tuple[WorkItem, str]]:
-        """Deduped ``(item, digest)`` pairs in first-access order."""
-        units: list[tuple[WorkItem, str]] = []
-        seen: set[str] = set()
-        for item in self.work_items():
-            digest = RunKey(*item).digest
-            if digest not in seen:
-                seen.add(digest)
-                units.append((item, digest))
-        return units
+        ):
+            units.setdefault(unit.digest, unit)
+        return list(units.values())
 
     def to_dict(self) -> dict:
         return {
@@ -157,32 +149,35 @@ class FarmPlan:
             raise StoreError(f"malformed farm plan: {exc}") from exc
 
 
-def unit_document(item: WorkItem, digest: str) -> dict:
+def unit_document(unit: RunKey) -> dict:
     """The on-disk JSON document of one claimable work unit."""
-    config, policy, model = item
     return {
         "format": UNIT_FORMAT,
-        "key": digest,
-        "config": config_to_dict(config),
-        "policy": policy,
-        "model": model,
+        "key": unit.digest,
+        "config": config_to_dict(unit.config),
+        "policy": unit.policy,
+        "model": unit.model,
     }
 
 
-def unit_from_document(doc: dict) -> tuple[WorkItem, str]:
-    """Inverse of :func:`unit_document` (raises ``StoreError`` when foreign)."""
+def unit_from_document(doc: dict) -> RunKey:
+    """Inverse of :func:`unit_document`.
+
+    Raises ``StoreError`` when the document is foreign, malformed, or its
+    ``key`` is not the digest of the unit it describes.
+    """
     if doc.get("format") != UNIT_FORMAT:
         raise StoreError(f"not a {UNIT_FORMAT} document: format={doc.get('format')!r}")
     try:
-        item = (
-            config_from_dict(doc["config"]),
-            str(doc["policy"]),
-            str(doc["model"]),
+        unit = RunKey(
+            config_from_dict(doc["config"]), str(doc["policy"]), str(doc["model"])
         )
-        digest = str(doc["key"])
+        key = str(doc["key"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"malformed work unit: {exc}") from exc
-    return item, digest
+    if key != unit.digest:
+        raise StoreError(f"work unit key {key[:12]} is not its digest {unit.digest[:12]}")
+    return unit
 
 
 def load_plan_text(text: str) -> FarmPlan:

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.experiments import chaos
-from repro.experiments.runstore import RunStore, StoreError
+from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.farm import leases as leases_mod
 from repro.farm.coordinator import Farm
 from repro.farm.plan import FarmPlan, unit_from_document
@@ -52,10 +52,13 @@ class ClaimedUnit:
     """One unit this worker holds the lease for."""
 
     job_id: str
-    item: tuple
-    digest: str
+    unit: RunKey
     lease: leases_mod.Lease
     lease_path: Path
+
+    @property
+    def digest(self) -> str:
+        return self.unit.digest
 
 
 class WorkerAgent:
@@ -120,20 +123,18 @@ class WorkerAgent:
                 if lease is None:
                     continue
                 try:
-                    item, unit_digest = unit_from_document(
-                        json.loads(unit_path.read_text())
-                    )
+                    unit = unit_from_document(json.loads(unit_path.read_text()))
                 except (OSError, ValueError, StoreError):
                     # Unreadable unit file: drop the lease and move on —
                     # the coordinator's evidence, not ours to destroy.
                     leases_mod.release(lease_path, lease)
                     continue
-                if unit_digest != digest:
+                if unit.digest != digest:
                     leases_mod.release(lease_path, lease)
                     continue
                 if PERF.enabled:
                     PERF.incr("farm.units_claimed")
-                return ClaimedUnit(job_id, item, digest, lease, lease_path)
+                return ClaimedUnit(job_id, unit, lease, lease_path)
         return None
 
     # -- executing -----------------------------------------------------------
@@ -173,7 +174,7 @@ class WorkerAgent:
         beat.start()
         try:
             execution = execute_plan(
-                [claimed.item], self.store, execution=plan.execution_policy()
+                [claimed.unit], self.store, execution=plan.execution_policy()
             )
         finally:
             stop.set()

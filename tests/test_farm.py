@@ -61,9 +61,9 @@ def test_plan_units_match_grid_plan_dedup():
     plan = small_plan()
     units = plan.unique_units()
     assert len(units) == 12  # 6 scenario values × 2 policies, no dupes here
-    digests = [d for _, d in units]
+    digests = [unit.digest for unit in units]
     assert len(set(digests)) == len(digests)
-    assert all(RunKey(*item).digest == d for item, d in units)
+    assert all(isinstance(unit, RunKey) for unit in units)
 
 
 def test_plan_rejects_unknown_execution_knobs():
@@ -85,12 +85,14 @@ def test_plan_rejects_foreign_and_newer_documents():
 
 def test_unit_document_roundtrip():
     plan = small_plan()
-    item, digest = plan.unique_units()[0]
-    back_item, back_digest = unit_from_document(
-        json.loads(json.dumps(unit_document(item, digest)))
-    )
-    assert back_digest == digest
-    assert RunKey(*back_item).digest == digest
+    unit = plan.unique_units()[0]
+    back = unit_from_document(json.loads(json.dumps(unit_document(unit))))
+    assert back == unit
+    assert back.digest == unit.digest
+    # A unit whose key is not its own digest is foreign, not executable.
+    forged = {**unit_document(unit), "key": "0" * 64}
+    with pytest.raises(StoreError, match="not its digest"):
+        unit_from_document(forged)
 
 
 def test_plan_execution_policy_carries_knobs():

@@ -8,6 +8,7 @@ a whole-domain outage mid-grid (the chaos harness's correlated batch
 kill) degrades with correct gap accounting instead of corrupting state.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -311,6 +312,10 @@ def test_correlated_sweep_produces_risk_table():
     assert {row.cascade_prob for row in result.rows} == {0.0, 1.0}
     text = result.table()
     assert "cascade" in text and "volatility" in text
+    # The whole table is pinned (see test_faults.py's MTBF-sweep pin).
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1c8dab0f2fe51e563ade739a4c242783ae330b84805e70d2c007b1008a8f5e59"
+    )
 
 
 # -- grid parity: the acceptance bar -------------------------------------------
@@ -353,13 +358,7 @@ def test_correlated_grid_parity_serial_parallel_resumed_farm(tmp_path):
 
     # Interrupted + resumed against a disk store.
     disk = RunStore(tmp_path / "store")
-    unique = []
-    seen = set()
-    for item in plan:
-        digest = RunKey(*item).digest
-        if digest not in seen:
-            seen.add(digest)
-            unique.append(item)
+    unique = list({unit.digest: unit for unit in plan}.values())
     execute_plan(unique[: len(unique) // 2], disk)  # partial first pass
     resumed = RunStore(tmp_path / "store")
     grid = run_grid(POLICIES, "bid", CORRELATED, "A", scenarios, resumed)

@@ -5,6 +5,7 @@ recovery semantics (resubmit vs checkpoint), SLA/accounting integration,
 and the end-to-end determinism guarantees the run store relies on.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -363,6 +364,11 @@ def test_fault_sweep_produces_availability_vs_risk_table():
     assert set(result.integrated) == {"FCFS-BF", "EDF-BF"}
     text = result.table()
     assert "avail" in text and "volatility" in text
+    # The whole table is pinned: row order, raw objectives and the risk
+    # reduction must not move when the sweep's execution path changes.
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a4a67878af53acd28dab3684f1359bed7a22f1d3f46de867bb4a5d1ad24a691b"
+    )
 
 
 def test_perf_counters_cover_fault_activity():

@@ -1,9 +1,11 @@
-"""Market sweeps through the RunStore: dedupe, checkpoint, resume, shard."""
+"""Market sweeps through the RunStore: dedupe, checkpoint, resume, shard,
+and the shared executor's failure journal."""
 
 import json
 
 import pytest
 
+from repro.experiments import marketsweep
 from repro.experiments.marketsweep import (
     MARKET_RUN_FORMAT,
     MarketConfig,
@@ -11,13 +13,13 @@ from repro.experiments.marketsweep import (
     admission_market_scenario,
     assemble_market_sweep,
     default_market_config,
-    execute_market_plan,
     market_plan,
     market_run_key,
     mtbf_market_scenario,
     run_market_config,
     run_market_sweep,
 )
+from repro.experiments.pipeline import ExecutionPolicy, execute_plan
 from repro.experiments.runstore import RunStore, StoreError
 
 
@@ -130,7 +132,7 @@ def test_execute_deduplicates_plan(tmp_path):
     store = RunStore(tmp_path)
     base = small_config()
     plan = market_plan(mtbf_market_scenario((None, 3600.0)), base)
-    execution = execute_market_plan(plan + plan, store)
+    execution = execute_plan(plan + plan, store)
     assert execution.accesses == 4
     assert execution.misses == 2
     assert execution.hits == 2
@@ -154,7 +156,7 @@ def test_sharded_sweep_partitions_and_assembles(tmp_path):
     scenario = mtbf_market_scenario()
     plan = market_plan(scenario, base)
     shards = [
-        execute_market_plan(plan, RunStore(tmp_path), shard=(i, 2))
+        execute_plan(plan, RunStore(tmp_path), shard=(i, 2))
         for i in range(2)
     ]
     assert sum(s.executed for s in shards) == len(plan)
@@ -169,7 +171,7 @@ def test_sharded_sweep_partitions_and_assembles(tmp_path):
 
 def test_shard_validation(tmp_path):
     with pytest.raises(ValueError):
-        execute_market_plan([small_config()], RunStore(tmp_path), shard=(2, 2))
+        execute_plan([small_config()], RunStore(tmp_path), shard=(2, 2))
 
 
 def test_incomplete_assembly_is_flagged(tmp_path):
@@ -184,6 +186,41 @@ def test_incomplete_assembly_is_flagged(tmp_path):
     assert not result.complete
     assert len(result.rows) == len(base.providers)
     assert "incomplete" in result.table()
+
+
+def test_failed_level_is_journaled_and_a_rerun_fills_it(tmp_path, monkeypatch):
+    base = small_config()
+    scenario = mtbf_market_scenario((None, 3600.0))
+    poisoned = scenario.configs(base)[1]
+    real = run_market_config
+
+    def failing(config):
+        if config == poisoned:
+            raise RuntimeError("market blew up")
+        return real(config)
+
+    monkeypatch.setattr(marketsweep, "run_market_config", failing)
+    monkeypatch.setattr(ExecutionPolicy, "backoff_delay", lambda self, d, a: 0.0)
+    failed = run_market_sweep(base, scenario=scenario, store=RunStore(tmp_path))
+    digest = market_run_key(poisoned)
+    assert failed.execution.failed == (digest,)
+    assert not failed.complete
+    assert "incomplete" in failed.table()
+    [line] = (tmp_path / "failures.jsonl").read_text().splitlines()
+    record = json.loads(line)
+    assert record["digest"] == digest
+    assert (record["policy"], record["model"]) == ("risky", MARKET_RUN_FORMAT)
+    assert "market blew up" in record["message"]
+    assert record["attempts"] == 3  # first try + the default two retries
+    assert set(RunStore(tmp_path).failures()) == {digest}
+
+    monkeypatch.undo()
+    rerun = run_market_sweep(base, scenario=scenario, store=RunStore(tmp_path))
+    assert rerun.execution.executed == 1
+    assert rerun.complete
+    assert rerun.rows == run_market_sweep(base, scenario=scenario).rows
+    # The journal stays append-only; the document resolves the failure.
+    assert RunStore(tmp_path).failures() == {}
 
 
 # -- the §3 claim --------------------------------------------------------------

@@ -4,14 +4,13 @@ interrupted-grid resume semantics the run store guarantees."""
 import pytest
 
 from repro import perf
-from repro.experiments.parallel import run_grid_parallel
 from repro.experiments.pipeline import (
     assemble_grid,
     execute_plan,
     grid_plan,
 )
 from repro.experiments.runner import RunCache, run_grid
-from repro.experiments.runstore import RunKey, RunStore, StoreError
+from repro.experiments.runstore import RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.experiments.store import grid_to_dict
 
@@ -21,13 +20,7 @@ POLICIES = ["FCFS-BF", "Libra"]
 
 
 def unique_items(plan):
-    seen, out = set(), []
-    for config, policy, model in plan:
-        digest = RunKey(config, policy, model).digest
-        if digest not in seen:
-            seen.add(digest)
-            out.append((config, policy, model))
-    return out
+    return list({unit.digest: unit for unit in plan}.values())
 
 
 # -- planning ------------------------------------------------------------------
@@ -42,7 +35,7 @@ def test_grid_plan_enumerates_every_access():
 
 def test_grid_plan_applies_estimate_set():
     plan = grid_plan(POLICIES, "bid", SMALL, "B", SCENARIOS)
-    assert all(config.inaccuracy_pct == 100.0 for config, _, _ in plan)
+    assert all(unit.config.inaccuracy_pct == 100.0 for unit in plan)
 
 
 # -- execution accounting ------------------------------------------------------
@@ -139,8 +132,8 @@ def test_interrupted_grid_resumes_only_missing_keys_parallel(tmp_path):
     execute_plan(unique[:n_done], partial)
 
     resumed_store = RunStore(tmp_path)
-    grid = run_grid_parallel(
-        POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=2, cache=resumed_store
+    grid = run_grid(
+        POLICIES, "bid", SMALL, "A", SCENARIOS, resumed_store, n_workers=2
     )
     # Only the missing keys were dispatched…
     assert resumed_store.misses == len(unique) - n_done

@@ -160,9 +160,7 @@ def test_transient_failure_is_retried_then_succeeds(monkeypatch):
     assert counters.get("pipeline.retries") == 2
     # The first failing item slept out its two backoff delays on the fake
     # clock, with the exact deterministic jitterered schedule.
-    digest = next(
-        RunKey(c, p, m).digest for c, p, m in plan
-    )
+    digest = plan[0].digest
     assert fake.sleeps[:2] == [
         policy.backoff_delay(digest, 1),
         policy.backoff_delay(digest, 2),
@@ -172,7 +170,7 @@ def test_transient_failure_is_retried_then_succeeds(monkeypatch):
 
 def test_exhausted_retries_journal_and_continue(monkeypatch):
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
-    poisoned = RunKey(*plan[0]).digest
+    poisoned = plan[0].digest
 
     real = run_single
 
@@ -241,6 +239,49 @@ def test_pool_path_matches_serial_reference():
     assert grid_to_dict(grid) == reference_doc
 
 
+def _armed_chaos(tmp_path, monkeypatch, budget_env):
+    """Arm chaos with a budget of 1 and record kills instead of dying."""
+    from repro.experiments import chaos
+
+    chaos_dir = tmp_path / "chaos"
+    chaos_dir.mkdir()
+    monkeypatch.setenv("REPRO_CHAOS_DIR", str(chaos_dir))
+    monkeypatch.setenv(budget_env, "1")
+    kills = []
+    monkeypatch.setattr(chaos.os, "kill", lambda pid, sig: kills.append(sig))
+    return chaos, chaos_dir, kills
+
+
+def test_chaos_budget_admits_one_claimant(tmp_path, monkeypatch):
+    """Budget 1: once a claimant holds the slot, a second claimant for a
+    different digest never fires — whether or not the first has written
+    its marker yet (the window two pool workers used to race through)."""
+    chaos, chaos_dir, kills = _armed_chaos(tmp_path, monkeypatch, "REPRO_CHAOS_KILL")
+    chaos.maybe_crash("a" * 64)
+    assert kills == [signal.SIGKILL]
+    assert (chaos_dir / f"{'a' * 64}.killed").exists()
+    chaos.maybe_crash("b" * 64)
+    chaos.maybe_crash("a" * 64)  # an item crashes at most once
+    assert kills == [signal.SIGKILL]
+    # The race window: the slot is claimed but no marker is written yet.
+    (chaos_dir / f"{'a' * 64}.killed").unlink()
+    chaos.maybe_crash("b" * 64)
+    assert kills == [signal.SIGKILL]
+    assert not list(chaos_dir.glob("*.killed"))
+
+
+def test_batch_chaos_budget_admits_one_claimant(tmp_path, monkeypatch):
+    chaos, chaos_dir, kills = _armed_chaos(tmp_path, monkeypatch, "REPRO_CHAOS_BATCH")
+    chaos.maybe_crash_batch(["c" * 64])  # singletons never crash
+    assert kills == []
+    chaos.maybe_crash_batch(["a" * 64, "c" * 64])
+    assert kills == [signal.SIGKILL]
+    (chaos_dir / f"{'a' * 64}.batchkilled").unlink()
+    chaos.maybe_crash_batch(["b" * 64, "c" * 64])
+    assert kills == [signal.SIGKILL]
+    assert not list(chaos_dir.glob("*.batchkilled"))
+
+
 @pytest.mark.slow
 def test_grid_survives_sigkilled_workers(tmp_path, monkeypatch):
     """Chaos: two workers SIGKILL themselves mid-grid; the supervisor
@@ -301,7 +342,7 @@ def test_keyboard_interrupt_cleans_up_and_resumes(tmp_path, monkeypatch):
 
     # Whatever was checkpointed is valid; the resume simulates only the rest.
     done = len(RunStore(tmp_path).disk_digests())
-    unique = {RunKey(c, p, m).digest for c, p, m in plan}
+    unique = {unit.digest for unit in plan}
     resumed = RunStore(tmp_path)
     grid = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, resumed)
     assert resumed.misses == len(unique) - done
@@ -318,7 +359,7 @@ def degraded_store_and_failed():
     execution = execute_plan(plan, store, execution=ExecutionPolicy())
     assert execution.complete
     # Knock one cell out after the fact: drop it from memory and journal it.
-    victim = RunKey(*plan[0])
+    victim = plan[0]
     del store._memory[victim.digest]
     store.record_failure(FailureRecord(
         digest=victim.digest, policy=victim.policy, model=victim.model,
@@ -359,9 +400,9 @@ def test_degrade_assembly_with_whole_policy_missing_yields_gap_markers():
     store = RunCache()
     execute_plan(plan, store, execution=ExecutionPolicy())
     # Remove every Libra run in the scenario → NaN gap markers for Libra.
-    for config, policy, model in plan:
-        if policy == "Libra":
-            store._memory.pop(RunKey(config, policy, model).digest, None)
+    for unit in plan:
+        if unit.policy == "Libra":
+            store._memory.pop(unit.digest, None)
     grid = assemble_grid(
         store, POLICIES, "bid", SMALL, "A", SCENARIOS, on_missing="degrade"
     )

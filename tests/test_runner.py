@@ -4,12 +4,12 @@ scenario reduction)."""
 import pytest
 
 from repro.core.objectives import Objective
+from repro.experiments.pipeline import reduce_scenario
 from repro.experiments.runner import (
     GridAnalysis,
     RunCache,
     build_workload,
     run_grid,
-    run_scenario,
     run_single,
 )
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
@@ -97,7 +97,12 @@ def test_cache_distinguishes_policy_and_model():
 
 def test_run_scenario_shape():
     scenario = scenario_by_name("job mix")
-    result = run_scenario(scenario, ["FCFS-BF", "EDF-BF"], "bid", SMALL)
+    policies = ["FCFS-BF", "EDF-BF"]
+    runs = [
+        [run_single(config, policy, "bid") for config in scenario.configs(SMALL)]
+        for policy in policies
+    ]
+    result = reduce_scenario(runs, policies)
     assert set(result.keys()) == set(Objective)
     for objective in Objective:
         assert set(result[objective].keys()) == {"FCFS-BF", "EDF-BF"}
@@ -124,3 +129,62 @@ def test_grid_cache_reuses_default_config():
     run_grid(["FCFS-BF"], "bid", SMALL, "A", scenarios, cache)
     # Default config (job mix=20, workload=0.25) appears in both scenarios.
     assert cache.hits >= 1
+
+
+# -- the process pool: run_grid(..., n_workers=2) ------------------------------
+
+PARALLEL = ExperimentConfig(n_jobs=30, total_procs=32)
+PARALLEL_SCENARIOS = [scenario_by_name("job mix"), scenario_by_name("workload")]
+PARALLEL_POLICIES = ["FCFS-BF", "Libra"]
+
+
+@pytest.mark.slow
+def test_parallel_matches_serial_exactly():
+    serial = run_grid(PARALLEL_POLICIES, "bid", PARALLEL, "A", PARALLEL_SCENARIOS)
+    parallel = run_grid(
+        PARALLEL_POLICIES, "bid", PARALLEL, "A", PARALLEL_SCENARIOS, n_workers=2
+    )
+    assert parallel.policies == serial.policies
+    assert parallel.scenarios == serial.scenarios
+    for objective in Objective:
+        for policy in PARALLEL_POLICIES:
+            for scenario in parallel.scenarios:
+                p = parallel.separate[objective][policy][scenario]
+                s = serial.separate[objective][policy][scenario]
+                assert p.performance == pytest.approx(s.performance, abs=1e-12)
+                assert p.volatility == pytest.approx(s.volatility, abs=1e-12)
+
+
+@pytest.mark.slow
+def test_parallel_cache_statistics_match_serial():
+    """The pool path must report the same hit/miss accounting as the
+    serial path — on a cold cache and on a fully warm one."""
+    args = (PARALLEL_POLICIES, "bid", PARALLEL, "A", PARALLEL_SCENARIOS)
+    serial_cache = RunCache()
+    run_grid(*args, serial_cache)
+    parallel_cache = RunCache()
+    run_grid(*args, parallel_cache, n_workers=2)
+    assert (parallel_cache.hits, parallel_cache.misses) == (
+        serial_cache.hits,
+        serial_cache.misses,
+    )
+    assert len(parallel_cache) == len(serial_cache)
+    # Warm re-run: both paths see pure hits, zero new misses.
+    run_grid(*args, serial_cache)
+    run_grid(*args, parallel_cache, n_workers=2)
+    assert (parallel_cache.hits, parallel_cache.misses) == (
+        serial_cache.hits,
+        serial_cache.misses,
+    )
+
+
+@pytest.mark.slow
+def test_parallel_populates_shared_cache():
+    args = (PARALLEL_POLICIES, "bid", PARALLEL, "A", PARALLEL_SCENARIOS)
+    cache = RunCache()
+    run_grid(*args, cache, n_workers=2)
+    before = len(cache)
+    assert before > 0
+    # A second call over the same grid does zero new simulations.
+    run_grid(*args, cache, n_workers=2)
+    assert len(cache) == before
