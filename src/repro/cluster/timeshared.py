@@ -22,6 +22,15 @@ integrated between events.  In static mode rates only change at admissions
 and completions, so the piecewise integration is exact; in dynamic mode the
 required rates drift between events and the integration is a
 piecewise-constant approximation refreshed at every event.
+
+Rates come from per-node summaries (:meth:`TimeSharedCluster._summarize`).
+Static-mode summaries are cached per node and recomputed only after the
+node's job set changes; dynamic-mode required rates are computed once per
+simulated instant.  Every node total is builtin ``sum`` over the node's
+``node_jobs`` set in set order, exactly as a full recomputation sums it, so
+the cached values are the same floats on every Python version (from 3.12
+``sum`` of floats is compensated: a running ``+=`` total or a numpy sum
+would not be).
 """
 
 from __future__ import annotations
@@ -29,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.perf.registry import PERF
 from repro.sim.engine import Simulator
@@ -100,6 +109,21 @@ class TimeSharedCluster:
         self._down: set[int] = set()
         #: nodes decommissioned for good (elastic capacity); ids stay stable.
         self._retired: set[int] = set()
+        #: committed (static) share of every running job.
+        self._shares: dict[int, float] = {}
+        # Static mode: per-node share total, residual bonus and
+        # over-commitment (see _summarize), valid while the node's job set
+        # is unchanged; nodes whose set changed since the last refresh wait
+        # in _stale.
+        self._totals: list[float] = [0.0] * self.total_procs
+        self._bonus: list[float] = [math.inf] * self.total_procs
+        self._over: list[float] = [0.0] * self.total_procs
+        self._stale: set[int] = set()
+        # Dynamic mode: every job's required rate at the instant _req_at.
+        # Progress only moves when the clock does, so the values hold for
+        # the whole instant; admit overwrites the entry of the job it starts.
+        self._req: dict[int, float] = {}
+        self._req_at: Optional[float] = None
 
     # -- admission helpers -------------------------------------------------
     def node_share_load(self, node: int) -> float:
@@ -108,8 +132,7 @@ class TimeSharedCluster:
         if self.mode is ShareMode.STATIC:
             return self.committed[node]
         self._sync_progress()
-        now = self.sim.now
-        return sum(self._states[j].required_rate(now) for j in self.node_jobs[node])
+        return sum(map(self._required_rates().__getitem__, self.node_jobs[node]))
 
     def node_has_risk(self, node: int) -> bool:
         """Dynamic mode: any job on the node already past its estimate."""
@@ -125,25 +148,26 @@ class TimeSharedCluster:
         after placing the job are preferred, saturating each node.
         """
         self._sync_progress()
-        now = self.sim.now
+        node_jobs = self.node_jobs
         if self.mode is ShareMode.STATIC:
-            loads = {jid: s.share for jid, s in self._states.items()}
+            totals, required = self._static_totals(), None
         else:
-            loads = {jid: s.required_rate(now) for jid, s in self._states.items()}
+            totals, required = None, self._required_rates().__getitem__
         risky = (
             {jid for jid, s in self._states.items() if s.past_estimate}
             if exclude_risky
             else frozenset()
         )
+        unavailable = self._down | self._retired
+        limit = 1.0 + SHARE_EPS
         candidates = []
-        for node in range(len(self.committed)):
-            if node in self._down or node in self._retired:
+        for node, node_set in enumerate(node_jobs):
+            if node in unavailable:
                 continue
-            node_set = self.node_jobs[node]
             if exclude_risky and not risky.isdisjoint(node_set):
                 continue
-            load = sum(loads[j] for j in node_set)
-            if load + share <= 1.0 + SHARE_EPS:
+            load = totals[node] if required is None else sum(map(required, node_set))
+            if load + share <= limit:
                 candidates.append((1.0 - load - share, node))
         candidates.sort()
         return [node for _, node in candidates]
@@ -181,10 +205,16 @@ class TimeSharedCluster:
             remaining_work=job.runtime,
         )
         self._states[job.job_id] = state
+        self._shares[job.job_id] = state.share
         state._on_finish = on_finish  # type: ignore[attr-defined]
+        if self._req_at == self.sim.now:
+            # A job re-admitted after a failure keeps its id but not its
+            # estimate: never reuse the instant's old entry.
+            self._req[job.job_id] = state.required_rate(self._req_at)
         for node in nodes:
             self.committed[node] += share
             self.node_jobs[node].add(job.job_id)
+        self._stale.update(nodes)
         if PERF.enabled:
             PERF.incr("cluster.time.jobs_admitted")
             PERF.observe("cluster.time.committed_share", share)
@@ -201,118 +231,135 @@ class TimeSharedCluster:
         for state in self._states.values():
             done = state.rate * dt
             state.consumed += done
-            state.remaining_work = max(state.remaining_work - done, 0.0)
+            left = state.remaining_work - done
+            state.remaining_work = 0.0 if left < 0.0 else left
         self._last_update = now
 
-    def _rates_snapshot(self) -> dict[int, float]:
-        """Current rate of every job, computed with one pass over the
-        job→node incidence (avoids the O(jobs²) naive recomputation)."""
+    def _required_rates(self) -> dict[int, float]:
+        """Every job's :meth:`TSJobState.required_rate` now, computed once
+        per simulated instant.  Callers sync progress first."""
         now = self.sim.now
-        if self.mode is ShareMode.STATIC:
-            shares = {jid: s.share for jid, s in self._states.items()}
-        else:
-            shares = {
-                jid: max(s.required_rate(now), MIN_DYNAMIC_SHARE)
-                for jid, s in self._states.items()
-            }
-        rates = {jid: 1.0 for jid in self._states}
-        for node_set in self.node_jobs:
-            k = len(node_set)
-            if k == 0:
-                continue
-            total = sum(shares[j] for j in node_set)
-            if total <= 1.0 + SHARE_EPS:
-                bonus = max(1.0 - total, 0.0) / k
-                for j in node_set:
-                    rates[j] = min(rates[j], min(shares[j] + bonus, 1.0))
+        if self._req_at != now:
+            self._req = {jid: s.required_rate(now) for jid, s in self._states.items()}
+            self._req_at = now
+        return self._req
+
+    @staticmethod
+    def _summarize(
+        node_sets: Iterable[tuple[int, set[int]]],
+        shares: dict[int, float],
+        totals: list[float],
+        bonus: list[float],
+        over: list[float],
+    ) -> None:
+        """Fill the per-node summaries of ``(node, job set)`` pairs.
+
+        ``totals[node]`` is the node's share total; a job gets
+        ``min(share + bonus[node], 1)`` on the node, or ``share /
+        over[node]`` once the node is over-committed (``over[node] > 0``).
+        """
+        share_of = shares.__getitem__
+        limit = 1.0 + SHARE_EPS
+        for node, node_set in node_sets:
+            total = sum(map(share_of, node_set))
+            totals[node] = total
+            if not node_set:
+                bonus[node], over[node] = math.inf, 0.0
+            elif total <= limit:
+                spare = 1.0 - total
+                bonus[node] = (0.0 if spare < 0.0 else spare) / len(node_set)
+                over[node] = 0.0
             else:
-                for j in node_set:
-                    rates[j] = min(rates[j], shares[j] / total)
-        return rates
+                bonus[node], over[node] = math.inf, total
 
-    def _reschedule_all(self) -> None:
-        """Recompute every job's rate and (re)schedule its completion."""
-        self._reschedule()
+    def _static_totals(self) -> list[float]:
+        """Per-node static share totals, first refreshing the summaries of
+        the nodes whose job set changed.  A static share never changes
+        after admission, so an untouched node's cached total is the sum a
+        recomputation over the same set, in the same order, would give."""
+        stale = self._stale
+        if stale:
+            node_jobs = self.node_jobs
+            self._summarize(
+                ((node, node_jobs[node]) for node in stale),
+                self._shares, self._totals, self._bonus, self._over,
+            )
+            stale.clear()
+        return self._totals
 
-    def _reschedule(self, touched_nodes: Optional[Sequence[int]] = None) -> None:
+    def _dynamic_summaries(self) -> tuple[dict[int, float], list[float], list[float]]:
+        """Dynamic-mode shares ``max(required rate, MIN_DYNAMIC_SHARE)`` of
+        every job at the current instant, and the node summaries they give."""
+        required = self._required_rates()
+        shares = {}
+        for jid in self._states:
+            r = required[jid]
+            shares[jid] = MIN_DYNAMIC_SHARE if r < MIN_DYNAMIC_SHARE else r
+        n = len(self.node_jobs)
+        bonus = [math.inf] * n
+        over = [0.0] * n
+        self._summarize(enumerate(self.node_jobs), shares, [0.0] * n, bonus, over)
+        return shares, bonus, over
+
+    def _reschedule(self, touched_nodes: Sequence[int]) -> None:
         """Recompute rates and (re)schedule completions.
 
-        With ``touched_nodes`` given in static mode, only jobs holding a
-        share slot on a touched node are recomputed: a static job's rate
-        is a function of the share totals on its own nodes, so an
-        admit/complete/failure can only move the rates of its node-mates.
-        Everyone else keeps their pending completion event — in a large
-        cluster that turns the per-event O(jobs) cancel/reschedule churn
-        into O(co-located jobs).
+        In static mode only jobs holding a share slot on a touched node are
+        recomputed: a static job's rate is a function of the share totals
+        on its own nodes, so an admit/complete/failure can only move the
+        rates of its node-mates.  Everyone else keeps their pending
+        completion event — in a large cluster that turns the per-event
+        O(jobs) cancel/reschedule churn into O(co-located jobs).
 
         Dynamic mode always recomputes everything: required rates drift
         with the clock, so no job's rate is provably unchanged.
+
+        A job's rate is the minimum of its per-node rates (see
+        :meth:`_summarize`), taken as ``min(share + min bonus, 1)`` and
+        ``share / max over`` across its nodes: ``min`` and ``max`` are
+        exact and rounded addition and division are monotone, so this is
+        the same float as the minimum of the per-node rates.
         """
         if PERF.enabled:
             PERF.incr("cluster.time.reschedules")
             PERF.observe("cluster.time.active_jobs", len(self._states))
-        states = self._states
-        if touched_nodes is None or self.mode is not ShareMode.STATIC:
-            affected = None  # everyone
-        else:
+        affected: Optional[set[int]]
+        if self.mode is ShareMode.STATIC:
             affected = set()
             for node in touched_nodes:
                 affected |= self.node_jobs[node]
             if not affected:
                 return
-        if affected is None:
-            rates = self._rates_snapshot()
+            self._static_totals()
+            shares, bonus, over = self._shares, self._bonus, self._over
         else:
-            rates = self._static_rates_for(affected)
+            affected = None  # everyone
+            shares, bonus, over = self._dynamic_summaries()
+        bonus_of, over_of = bonus.__getitem__, over.__getitem__
+        schedule, complete, priority = self.sim.schedule, self._complete, Priority.COMPLETION
         # Iterate the state dict (admission order) rather than the affected
         # set so completion events are re-issued in the same deterministic
         # order a full reschedule would use.
-        for state in states.values():
+        for state in self._states.values():
             jid = state.job.job_id
             if affected is not None and jid not in affected:
                 continue
-            state.rate = rates[jid]
+            share = shares[jid]
+            nodes = state.nodes
+            rate = share + min(map(bonus_of, nodes))
+            if rate > 1.0:
+                rate = 1.0
+            worst = max(map(over_of, nodes))
+            if worst and share / worst < rate:
+                rate = share / worst
+            state.rate = rate
             if state.completion is not None:
                 state.completion.cancel()
-            if state.rate <= 0.0:  # pragma: no cover - MIN_DYNAMIC_SHARE forbids
+            if rate <= 0.0:  # pragma: no cover - MIN_DYNAMIC_SHARE forbids
                 raise RuntimeError(f"job {jid} starved (rate 0)")
-            eta = state.remaining_work / state.rate
-            state.completion = self.sim.schedule(
-                eta, self._complete, state, priority=Priority.COMPLETION
+            state.completion = schedule(
+                state.remaining_work / rate, complete, state, priority=priority
             )
-
-    def _static_rates_for(self, job_ids: set[int]) -> dict[int, float]:
-        """Static-mode rates for ``job_ids`` only.
-
-        Per-node share totals are summed in the same ``node_jobs`` set
-        order as :meth:`_rates_snapshot`, so the floats are identical to a
-        full recomputation — the restriction changes *which* jobs are
-        computed, never their values.
-        """
-        states = self._states
-        node_jobs = self.node_jobs
-        node_cache: dict[int, tuple[float, int]] = {}
-        rates: dict[int, float] = {}
-        for jid in job_ids:
-            state = states[jid]
-            share = state.share
-            rate = 1.0
-            for node in state.nodes:
-                cached = node_cache.get(node)
-                if cached is None:
-                    members = node_jobs[node]
-                    total = sum(states[j].share for j in members)
-                    cached = node_cache[node] = (total, len(members))
-                total, k = cached
-                if total <= 1.0 + SHARE_EPS:
-                    bonus = max(1.0 - total, 0.0) / k
-                    r = min(share + bonus, 1.0)
-                else:
-                    r = share / total
-                if r < rate:
-                    rate = r
-            rates[jid] = rate
-        return rates
 
     def _complete(self, state: TSJobState) -> None:
         self._sync_progress()
@@ -322,11 +369,13 @@ class TimeSharedCluster:
         state.consumed += state.remaining_work
         state.remaining_work = 0.0
         del self._states[state.job.job_id]
+        del self._shares[state.job.job_id]
         for node in state.nodes:
             self.committed[node] -= state.share
             if abs(self.committed[node]) < SHARE_EPS:
                 self.committed[node] = 0.0
             self.node_jobs[node].discard(state.job.job_id)
+        self._stale.update(state.nodes)
         state.completion = None
         if PERF.enabled:
             PERF.incr("cluster.time.jobs_completed")
@@ -376,11 +425,13 @@ class TimeSharedCluster:
             if state.completion is not None:
                 state.completion.cancel()
             del self._states[state.job.job_id]
+            del self._shares[state.job.job_id]
             for node in state.nodes:
                 self.committed[node] -= state.share
                 if abs(self.committed[node]) < SHARE_EPS:
                     self.committed[node] = 0.0
                 self.node_jobs[node].discard(state.job.job_id)
+            self._stale.update(state.nodes)
             progress = min(max(state.consumed, 0.0), state.job.runtime)
             killed.append((state.job, progress))
         if PERF.enabled and killed:
@@ -416,6 +467,9 @@ class TimeSharedCluster:
         node_id = len(self.committed)
         self.committed.append(0.0)
         self.node_jobs.append(set())
+        self._totals.append(0.0)
+        self._bonus.append(math.inf)
+        self._over.append(0.0)
         self.total_procs += 1
         if PERF.enabled:
             PERF.incr("cluster.time.nodes_commissioned")

@@ -648,8 +648,8 @@ def execute_plan(
     store.hits += hits
     store.misses += misses
     if PERF.enabled:
-        PERF.incr("runner.cache_hits", hits)
-        PERF.incr("runner.cache_misses", misses)
+        PERF.incr("pipeline.cache_hits", hits)
+        PERF.incr("pipeline.cache_misses", misses)
 
     mine = pending if shard is None else [
         unit for unit in pending if int(unit.digest[:8], 16) % shard[1] == shard[0]

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import perf
 from repro.experiments import marketsweep
 from repro.experiments.marketsweep import (
     MARKET_RUN_FORMAT,
@@ -138,6 +139,20 @@ def test_execute_deduplicates_plan(tmp_path):
     assert execution.hits == 2
     assert execution.executed == 2
     assert execution.complete
+
+
+def test_sweep_counts_pipeline_cache_traffic_not_runner(tmp_path):
+    # Store accesses of a market sweep are the executor's, not the grid
+    # runner's: a market sweep must not read as grid cache traffic.
+    with perf.capture() as registry:
+        run_market_sweep(
+            small_config(), scenario=mtbf_market_scenario((None, 3600.0)),
+            store=RunStore(tmp_path),
+        )
+    counters = registry.counters
+    assert counters["pipeline.cache_misses"] == 2
+    assert counters.get("pipeline.cache_hits", 0) == 0
+    assert not any(name.startswith("runner.cache_") for name in counters)
 
 
 def test_sweep_resume_is_bit_identical(tmp_path):
